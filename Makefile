@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-nearestlink bench-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build test vet lint race bench bench-nearestlink bench-smoke fuzz-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,13 @@ bench-nearestlink:
 bench-smoke:
 	$(GO) run ./cmd/patchdb-bench -only NEARESTLINK -smoke
 
+# fuzz-smoke runs every Fuzz* target (patch, C token and AST parsers, the
+# dataset loader, the checkpoint manifest loader, the /v1/patches query path)
+# for 3s each, one `go test -fuzz` run per target — short enough to gate
+# every merge, long enough to catch a decoder that panics on malformed input.
+fuzz-smoke:
+	GO=$(GO) sh scripts/fuzz-smoke.sh
+
 # bench-serve drives the patchdb-serve query API over real loopback HTTP at
 # 1/4/16 store shards, cold vs. warm snapshot, and writes BENCH_serve.json
 # (p50/p99 latency, QPS) — the perf trajectory for the serving layer.
@@ -103,9 +110,9 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 
 # ci is the fast merge gate mirrored by .github/workflows/ci.yml and
 # scripts/ci.sh: build, both static-analysis tiers, the plain test run, the
-# race-enabled observability-correlation and crash-safety suites, and the
-# fully-verified engine smoke sweep.
-ci: build vet lint test verify-obs verify-resume bench-smoke
+# race-enabled observability-correlation and crash-safety suites, the
+# fully-verified engine smoke sweep, and the fuzz smoke run.
+ci: build vet lint test verify-obs verify-resume bench-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -51,7 +51,6 @@ type nlRow struct {
 	NsPerOp        int64   `json:"ns_per_op"`
 	DistanceEvals  int64   `json:"distance_evals"`
 	NormPruned     int64   `json:"norm_pruned"`
-	QuantPruned    int64   `json:"quant_pruned"`
 	EarlyExited    int64   `json:"early_exited"`
 	PrunedFraction float64 `json:"pruned_fraction"`
 	Rescans        int     `json:"rescans"`
@@ -232,7 +231,6 @@ func runNearestLink(scale experiments.Scale, flagWorkers int, smoke bool) (fmt.S
 				NsPerOp:              time.Since(start).Nanoseconds(),
 				DistanceEvals:        st.DistanceEvals,
 				NormPruned:           st.NormPruned,
-				QuantPruned:          st.QuantPruned,
 				EarlyExited:          st.EarlyExited,
 				PrunedFraction:       st.PrunedFraction,
 				Rescans:              st.Rescans,

@@ -221,6 +221,15 @@ func readManifest(dir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%w: manifest does not parse: %w", ErrCorrupt, err)
 	}
+	// Payload paths are derived, never trusted: truncate removes and Load
+	// reads every named file, so an entry like "../x" (or a stage name with
+	// a path separator) would reach outside the journal directory.
+	for _, st := range m.Stages {
+		if want := stageFile(st.Name); st.File != want || filepath.Base(want) != want {
+			return nil, fmt.Errorf("%w: stage %q names payload %q, want a plain %q",
+				ErrCorrupt, st.Name, st.File, want)
+		}
+	}
 	return &m, nil
 }
 

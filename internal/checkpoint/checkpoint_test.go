@@ -131,6 +131,63 @@ func TestLoadDetectsCorruption(t *testing.T) {
 	}
 }
 
+// traversalManifest names a payload outside the journal directory.
+const traversalManifest = `{"format_version":1,"fingerprint":"fp","seed":1,` +
+	`"stages":[{"name":"crawl","file":"../victim.txt","sha256":"","bytes":0}]}`
+
+func TestOpenRefusesPayloadOutsideJournal(t *testing.T) {
+	root := t.TempDir()
+	victim := filepath.Join(root, "victim.txt")
+	if err := os.WriteFile(victim, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "journal")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(traversalManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, resume := range []bool{false, true} {
+		if _, err := Open(dir, Options{Seed: 1, Fingerprint: "fp", Resume: resume}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Open(resume=%v) err = %v, want ErrCorrupt", resume, err)
+		}
+	}
+	if data, err := os.ReadFile(victim); err != nil || string(data) != "keep" {
+		t.Fatalf("file outside the journal was touched: %q, %v", data, err)
+	}
+}
+
+// FuzzReadManifest feeds arbitrary bytes to the manifest loader: it must
+// never panic, and every manifest it accepts names only plain payload files
+// directly inside the journal directory.
+func FuzzReadManifest(f *testing.F) {
+	f.Add([]byte(traversalManifest))
+	f.Add([]byte(`{"format_version":1,"fingerprint":"fp","seed":1,` +
+		`"stages":[{"name":"crawl","file":"stage-crawl.json","sha256":"00","bytes":2}]}`))
+	f.Add([]byte(`{"stages":[{"name":"/../../x","file":"stage-/../../x.json"}]}`))
+	f.Add([]byte(`{`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := readManifest(dir)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("readManifest err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		for _, st := range m.Stages {
+			if st.File != stageFile(st.Name) || filepath.Base(st.File) != st.File {
+				t.Fatalf("accepted stage %q with payload %q", st.Name, st.File)
+			}
+		}
+	})
+}
+
 func TestLoadUnknownStage(t *testing.T) {
 	j := open(t, t.TempDir(), Options{})
 	var got payload

@@ -17,13 +17,13 @@ import (
 // stripe load is amortized and the grid parallelizes cleanly:
 //
 //   - Seed-major blocking: security rows are grouped into blocks of
-//     defaultBlockRows consecutive scan-order (ascending-norm) rows. One
+//     defaultBlockHeight consecutive scan-order (ascending-norm) rows. One
 //     pass over a wild column evaluates the whole block against it, so the
-//     column's stripe data (segment norms, quantized prefix, packed prefix,
-//     tail) is loaded once per block instead of once per row, and the
-//     block's own row data stays L1-resident across the pass.
+//     column's stripe data (segment norms, packed prefix, tail) is loaded
+//     once per block instead of once per row, and the block's own row data
+//     stays L1-resident across the pass.
 //   - Wild-pool sharding: the norm-sorted pool is cut into contiguous
-//     shards of defaultShardCols columns. A (block, shard) pair is one
+//     shards of defaultShardWidth columns. A (block, shard) pair is one
 //     independent task; workers drain the task grid through an atomic
 //     cursor. Each task computes the block rows' (best, runner-up) over its
 //     shard only, and a deterministic merge folds the per-shard pairs into
@@ -41,41 +41,32 @@ import (
 // scan would keep.
 //
 // Determinism of the accounting: the task grid is a pure function of
-// (rows, cols, BlockRows, ShardCols) — never of Workers — each task's visit
+// (rows, cols, blockRows, shardCols) — never of Workers — each task's visit
 // order and pruning bounds are fixed (bounds start from the row's seeded
 // cap and tighten only within the task), and the int64 counters merge by
-// addition. Stats are therefore bit-identical at any worker count; BlockRows
-// and ShardCols may change counter values (they move pruning decisions
+// addition. Stats are therefore bit-identical at any worker count; blockRows
+// and shardCols may change counter values (they move pruning decisions
 // between stages) but never the links.
 
-// defaultBlockRows is the seed-major block height: how many consecutive
+// defaultBlockHeight is the seed-major block height: how many consecutive
 // scan-order security rows share one pass over a wild column.
-const defaultBlockRows = 16
+const defaultBlockHeight = 16
 
-// defaultShardCols is the wild-pool shard width in norm-sorted columns.
+// defaultShardWidth is the wild-pool shard width in norm-sorted columns.
 // Sized so a shard's hot stripes stay cache-resident while the task grid
 // still offers blocks×shards-way parallelism at bench shapes.
-const defaultShardCols = 131072
+const defaultShardWidth = 131072
 
 // blockPlan is the per-search state of the blocked path: seed-major copies
 // of the row-side screen data (indexed by scan-order position t, contiguous
-// for a block), the quantized stripes of both sides, per-row seeded bounds
-// and norm windows, and the per-(row, shard) two-best result grid.
+// for a block), per-row seeded bounds and norm windows, and the per-(row,
+// shard) two-best result grid.
 type blockPlan struct {
 	e         *engine
 	blockRows int
 	shardCols int
 	nblocks   int
 	nshards   int
-
-	qz   quantizer
-	qw   int     // quantized row width (pw + tw)
-	nsuf int     // suffix-norm checkpoints per row (quantSuffixCount(qw))
-	wldQ []uint8 // n×qw quantized wild rows, walk order, screen-order dims
-	// Suffix norms at each chunk boundary (‖dims ≥ 16(c+1)‖), used by the
-	// quantized screen's early-exit checkpoints.
-	ordSuf []float64 // m×nsuf
-	wldSuf []float64 // n×nsuf, walk order
 
 	// Seed-major row data (index t = position in e.secOrder).
 	ordN    []float64 // row norms
@@ -85,7 +76,6 @@ type blockPlan struct {
 	ordWE   []int     // global norm-window end (exclusive)
 	ordPre  []float64 // m×pw screen-order prefixes
 	ordTail []float64 // m×tw screen-order tails
-	ordQ    []uint8   // m×qw quantized rows
 
 	// Fine-grained segment norms for the blocked ladder: blockSegPre even
 	// splits of the prefix and blockSegTail of the tail, per row. Four times
@@ -111,24 +101,6 @@ const (
 	blockSeg     = blockSegPre + blockSegTail
 )
 
-// quantAutoDims is the screen width at which a nil Options.Quantize
-// resolves to on. The integer screen trades per-dimension float64 loads for
-// uint8 ones; with the blocked scan keeping its stripes cache-resident, the
-// float ladder wins outright up to a few hundred dimensions (measured: the
-// quantized screen costs ~95 cycles per rejection against ~50 for the
-// segment+prefix float path at d=60), and only rows wide enough to blow the
-// per-candidate cache budget flip the balance.
-const quantAutoDims = 256
-
-// quantizeEnabled resolves the tri-state Quantize option against the screen
-// width.
-func quantizeEnabled(q *bool, width int) bool {
-	if q != nil {
-		return *q
-	}
-	return width >= quantAutoDims
-}
-
 // fillEvenSegNorms writes the Euclidean norms of parts even contiguous
 // splits of row (the same deterministic ⌊len·s/parts⌋ boundaries on both
 // sides).
@@ -146,12 +118,12 @@ func fillEvenSegNorms(dst, row []float64) {
 
 func newBlockPlan(e *engine, o Options) *blockPlan {
 	m, n := e.sec.rows, len(e.wldNS)
-	p := &blockPlan{e: e, blockRows: o.BlockRows, shardCols: o.ShardCols}
+	p := &blockPlan{e: e, blockRows: o.blockRows, shardCols: o.shardCols}
 	if p.blockRows <= 0 {
-		p.blockRows = defaultBlockRows
+		p.blockRows = defaultBlockHeight
 	}
 	if p.shardCols <= 0 {
-		p.shardCols = defaultShardCols
+		p.shardCols = defaultShardWidth
 	}
 	p.nblocks = (m + p.blockRows - 1) / p.blockRows
 	p.nshards = (n + p.shardCols - 1) / p.shardCols
@@ -172,27 +144,6 @@ func newBlockPlan(e *engine, o Options) *blockPlan {
 		copy(p.ordTail[t*tw:(t+1)*tw], row[pw:])
 	}
 
-	p.qw = pw + tw
-	if quantizeEnabled(o.Quantize, p.qw) {
-		p.qz = newQuantizer(pw, tw, p.ordPre, p.ordTail, e.wldP, e.wldT)
-	}
-	if p.qz.ok {
-		qw := p.qw
-		p.nsuf = quantSuffixCount(qw)
-		p.ordQ = make([]uint8, m*qw)
-		p.ordSuf = make([]float64, m*p.nsuf)
-		for t := 0; t < m; t++ {
-			p.qz.quantizeRow(p.ordQ[t*qw:(t+1)*qw], p.ordPre[t*pw:(t+1)*pw], p.ordTail[t*tw:(t+1)*tw])
-			fillSuffixNorms(p.ordSuf[t*p.nsuf:(t+1)*p.nsuf], p.ordPre[t*pw:(t+1)*pw], p.ordTail[t*tw:(t+1)*tw])
-		}
-		p.wldQ = make([]uint8, n*qw)
-		p.wldSuf = make([]float64, n*p.nsuf)
-		for k := 0; k < n; k++ {
-			p.qz.quantizeRow(p.wldQ[k*qw:(k+1)*qw], e.wldP[k*pw:(k+1)*pw], e.wldT[k*tw:(k+1)*tw])
-			fillSuffixNorms(p.wldSuf[k*p.nsuf:(k+1)*p.nsuf], e.wldP[k*pw:(k+1)*pw], e.wldT[k*tw:(k+1)*tw])
-		}
-	}
-
 	p.ordSegs = make([]float64, m*blockSeg)
 	for t := 0; t < m; t++ {
 		fillEvenSegNorms(p.ordSegs[t*blockSeg:t*blockSeg+blockSegPre], p.ordPre[t*pw:(t+1)*pw])
@@ -210,29 +161,6 @@ func newBlockPlan(e *engine, o Options) *blockPlan {
 	p.j1 = make([]int, cells)
 	p.j2 = make([]int, cells)
 	return p
-}
-
-// fillSuffixNorms records, for one packed screen-order row (prefix then
-// tail), the Euclidean norm of the dimensions at and after each chunk
-// boundary 16(c+1) — the checkpoint data of the quantized screen.
-func fillSuffixNorms(dst []float64, pre, tail []float64) {
-	d := len(pre) + len(tail)
-	at := func(j int) float64 {
-		if j < len(pre) {
-			return pre[j]
-		}
-		return tail[j-len(pre)]
-	}
-	s2 := 0.0
-	for j := d - 1; j >= 0; j-- {
-		if (j+1)%quantChunk == 0 {
-			if c := (j+1)/quantChunk - 1; c < len(dst) {
-				dst[c] = math.Sqrt(s2)
-			}
-		}
-		v := at(j)
-		s2 += v * v
-	}
 }
 
 // seedRow runs the pre-phase for scan-order row t: the seeded bounds and
@@ -428,7 +356,7 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 
 // sweepTile is the column-tile width of a sweep. Rows of a block revisit the
 // same tile back to back, so one tile's hot stripes (norms, segment norms,
-// quantized rows) stay L1/L2-resident across the whole block while each row
+// prefixes) stay L1/L2-resident across the whole block while each row
 // still runs a branch-light row-major inner loop over the tile.
 const sweepTile = 256
 
@@ -541,20 +469,12 @@ func (p *blockPlan) sweep(c *scanCounters, scr *blockScratch, t0, B, start, stop
 // It returns false when the row has no columns left on this side.
 func (p *blockPlan) scanRowTile(c *scanCounters, scr *blockScratch, r, t, ks, ke, dir int) bool {
 	e := p.e
-	pw, tw, qw := e.pw, e.tw, p.qw
+	pw, tw := e.pw, e.tw
 	na := p.ordN[t]
 	mid := p.ordMid[t]
 	seg := p.ordSegs[t*blockSeg : t*blockSeg+blockSeg : t*blockSeg+blockSeg]
 	pre := p.ordPre[t*pw : t*pw+pw : t*pw+pw]
 	tail := p.ordTail[t*tw : t*tw+tw : t*tw+tw]
-	var qrow []uint8
-	var qsuf []float64
-	nsuf := p.nsuf
-	quant := p.qz.ok
-	if quant {
-		qrow = p.ordQ[t*qw : t*qw+qw : t*qw+qw]
-		qsuf = p.ordSuf[t*nsuf : t*nsuf+nsuf : t*nsuf+nsuf]
-	}
 	b := scr.b[r]
 	d1, j1, d2, j2 := scr.d1[r], scr.j1[r], scr.d2[r], scr.j2[r]
 
@@ -587,10 +507,6 @@ func (p *blockPlan) scanRowTile(c *scanCounters, scr *blockScratch, r, t, ks, ke
 			((g12*g12 + g13*g13) + (g14*g14 + g15*g15))
 		if (((g0*g0+g1*g1)+(g2*g2+g3*g3))+tailLb)*normBoundShade > b {
 			c.normPruned++
-			continue
-		}
-		if quant && p.qz.reject(qrow, p.wldQ[k*qw:k*qw+qw:k*qw+qw], qsuf, p.wldSuf[k*nsuf:k*nsuf+nsuf:k*nsuf+nsuf], b) {
-			c.quantPruned++
 			continue
 		}
 		c.evals++

@@ -66,95 +66,15 @@ func dist2(a, b []float64) float64 {
 // reject a candidate the reference scan would have accepted.
 const screenSlack = 1 + 1e-12
 
-// screenDist2 computes the squared Euclidean distance with four independent
-// accumulators (breaking the serial FP-add dependency chain that limits
-// dist2 to ~1 dimension per add latency), checking the running sum against
-// bound·screenSlack after every 16-dimension block. The scan path now splits
-// this work across prefixDist2 + screenTailDist2 (stripe layout); this
-// single-call form is retained as the screen's specification and is
-// exercised directly by TestKernelEquivalence.
-//
-// It returns (sum, true) iff the full distance was evaluated and the
-// screened sum stayed within the slacked bound — the candidate MAY beat
-// bound (or tie it, which matters for index tie-breaks), and the caller
-// must confirm with the reference-order dist2 before any comparison.
-// (sum, false) is a guaranteed-exact rejection: the summands (a_j−b_j)² are
-// the same rounded non-negative terms dist2 adds, so a partial reordered
-// sum strictly above bound·screenSlack proves dist2's total is strictly
-// above bound — such a candidate can never displace the current best, nor
-// tie it. The comparisons are strictly-greater (not ≥) so a bound of 0
-// cannot silently reject an exact-duplicate candidate whose smaller column
-// index would win the reference tie-break.
-func screenDist2(a, b []float64, bound float64) (float64, bool) {
-	limit := bound * screenSlack
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+16 <= len(a); j += 16 {
-		x := a[j : j+16 : j+16]
-		y := b[j : j+16 : j+16]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		d4 := x[4] - y[4]
-		d5 := x[5] - y[5]
-		d6 := x[6] - y[6]
-		d7 := x[7] - y[7]
-		s0 += d4 * d4
-		s1 += d5 * d5
-		s2 += d6 * d6
-		s3 += d7 * d7
-		d8 := x[8] - y[8]
-		d9 := x[9] - y[9]
-		d10 := x[10] - y[10]
-		d11 := x[11] - y[11]
-		s0 += d8 * d8
-		s1 += d9 * d9
-		s2 += d10 * d10
-		s3 += d11 * d11
-		d12 := x[12] - y[12]
-		d13 := x[13] - y[13]
-		d14 := x[14] - y[14]
-		d15 := x[15] - y[15]
-		s0 += d12 * d12
-		s1 += d13 * d13
-		s2 += d14 * d14
-		s3 += d15 * d15
-		if s := (s0 + s1) + (s2 + s3); s > limit {
-			return s, false
-		}
-	}
-	for ; j+4 <= len(a); j += 4 {
-		x := a[j : j+4 : j+4]
-		y := b[j : j+4 : j+4]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; j < len(a); j++ {
-		d := a[j] - b[j]
-		s0 += d * d
-	}
-	sum := (s0 + s1) + (s2 + s3)
-	return sum, sum <= limit
-}
-
 // screenTailDist2 continues a screened evaluation over the packed tail
 // dimensions, starting from the already-computed prefix partial sum. It
 // reports whether the candidate survives: the combined sum is an any-order
 // summation of exactly the rounded non-negative terms dist2 adds over all
-// dimensions, so the screenDist2 rejection guarantee applies unchanged —
-// a strict excess over bound·screenSlack proves the reference-order total
-// strictly exceeds bound.
+// dimensions, so a strict excess over bound·screenSlack proves the
+// reference-order total strictly exceeds bound. The comparisons are
+// strictly-greater (not ≥) so a bound of 0 cannot silently reject an
+// exact-duplicate candidate whose smaller column index would win the
+// reference tie-break.
 func screenTailDist2(a, b []float64, prefix, bound float64) bool {
 	limit := bound * screenSlack
 	s0 := prefix
@@ -223,15 +143,7 @@ func screenTailDist2(a, b []float64, prefix, bound float64) bool {
 type scanCounters struct {
 	evals       int64 // evaluations started (survived every cheap bound)
 	normPruned  int64 // rejected by the norm window or segment-norm bound
-	quantPruned int64 // rejected by the quantized integer prefix bound
 	earlyExited int64 // aborted by the prefix or tail partial-distance screen
-}
-
-func (c *scanCounters) add(o scanCounters) {
-	c.evals += o.evals
-	c.normPruned += o.normPruned
-	c.quantPruned += o.quantPruned
-	c.earlyExited += o.earlyExited
 }
 
 // screenPrefix is the width of the packed prefix array: the first

@@ -79,14 +79,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.data[off : off+m.cols : off+m.cols]
 }
 
-// SetRow copies vals into the i-th row.
-func (m *Matrix) SetRow(i int, vals []float64) {
-	if len(vals) != m.cols {
-		panic(fmt.Sprintf("nearestlink: SetRow: %d values into %d columns", len(vals), m.cols))
-	}
-	copy(m.Row(i), vals)
-}
-
 // RowSlices returns the rows as a [][]float64 of views into the flat
 // backing array — one header allocation, zero data copies. It lets flat
 // matrices feed APIs that still speak [][]float64 (the ml classifiers).

@@ -45,28 +45,6 @@ type Link struct {
 type Options struct {
 	// Workers bounds parallelism (default: GOMAXPROCS).
 	Workers int
-	// BlockRows is the seed-major block height of the scan phase: how many
-	// consecutive ascending-norm security rows share each pass over a wild
-	// column (default defaultBlockRows). Affects throughput and the Stats
-	// pruning counters, never the links.
-	BlockRows int
-	// ShardCols is the wild-pool shard width of the scan phase in
-	// norm-sorted columns (default defaultShardCols). Like BlockRows it
-	// moves cost between pruning stages but never changes the links, and —
-	// unlike Workers — it is part of the deterministic counter contract:
-	// Stats at a fixed (BlockRows, ShardCols) are identical at any worker
-	// count.
-	ShardCols int
-	// Quantize controls the uint8-quantized integer pre-screen of the
-	// blocked scan. nil (the default) resolves by screen width: the integer
-	// screen pays for itself when each candidate's float stripes are wide
-	// enough that the 8x-smaller quantized rows change the memory picture
-	// (>= quantAutoDims dimensions); at bench-scale widths the measured
-	// float ladder is strictly faster, so auto leaves it off. &true forces
-	// it on, &false off. Like BlockRows and ShardCols this moves rejections
-	// between stages (QuantPruned vs the float screens) but never changes
-	// the links.
-	Quantize *bool
 	// DisableNormalization skips the max-abs weighting (ablation only; the
 	// paper always normalizes).
 	DisableNormalization bool
@@ -76,6 +54,15 @@ type Options struct {
 	// Registry, when non-nil, receives the engine counters and search
 	// latency of every call (see the Metric* names in this package).
 	Registry *telemetry.Registry
+
+	// blockRows is the seed-major block height of the scan phase: how many
+	// consecutive ascending-norm security rows share each pass over a wild
+	// column (default defaultBlockHeight). shardCols is the wild-pool shard
+	// width in norm-sorted columns (default defaultShardWidth). Both move
+	// cost between pruning stages and so change the Stats counters, never
+	// the links; at fixed values the counters are identical at any worker
+	// count. Only the package's tests set them.
+	blockRows, shardCols int
 }
 
 func (o *Options) resolved() Options {
@@ -101,14 +88,11 @@ type Stats struct {
 	// bound — the bulk norm-window skip (counted per column skipped) or the
 	// per-candidate segment-norm bound — before any row data was touched.
 	NormPruned int64
-	// QuantPruned counts candidates rejected by the uint8-quantized integer
-	// prefix bound — after the norm bounds, before any float64 row data.
-	QuantPruned int64
 	// EarlyExited counts evaluations aborted by a partial-distance bound —
 	// the packed-prefix screen or the tail screen — before reaching the
 	// last dimension.
 	EarlyExited int64
-	// PrunedFraction is (NormPruned+QuantPruned+EarlyExited) / candidates
+	// PrunedFraction is (NormPruned+EarlyExited) / candidates
 	// considered: the fraction of candidate pairs that never paid for a
 	// full d-dimensional evaluation.
 	PrunedFraction float64
@@ -128,13 +112,12 @@ type Stats struct {
 func (s *Stats) addScan(c scanCounters) {
 	s.DistanceEvals += c.evals
 	s.NormPruned += c.normPruned
-	s.QuantPruned += c.quantPruned
 	s.EarlyExited += c.earlyExited
 }
 
 func (s *Stats) finish(start time.Time) {
-	if considered := s.NormPruned + s.QuantPruned + s.DistanceEvals; considered > 0 {
-		s.PrunedFraction = float64(s.NormPruned+s.QuantPruned+s.EarlyExited) / float64(considered)
+	if considered := s.NormPruned + s.DistanceEvals; considered > 0 {
+		s.PrunedFraction = float64(s.NormPruned+s.EarlyExited) / float64(considered)
 	}
 	//lint:ignore determinism Stats.Duration is telemetry-only; link selection never reads it
 	s.Duration = time.Since(start)
@@ -146,7 +129,6 @@ type Totals struct {
 	Searches       int
 	DistanceEvals  int64
 	NormPruned     int64
-	QuantPruned    int64
 	EarlyExited    int64
 	HeapPops       int
 	SecondBestHits int
@@ -159,7 +141,6 @@ func (t *Totals) Add(s Stats) {
 	t.Searches++
 	t.DistanceEvals += s.DistanceEvals
 	t.NormPruned += s.NormPruned
-	t.QuantPruned += s.QuantPruned
 	t.EarlyExited += s.EarlyExited
 	t.HeapPops += s.HeapPops
 	t.SecondBestHits += s.SecondBestHits
@@ -173,7 +154,6 @@ func (t *Totals) Merge(o Totals) {
 	t.Searches += o.Searches
 	t.DistanceEvals += o.DistanceEvals
 	t.NormPruned += o.NormPruned
-	t.QuantPruned += o.QuantPruned
 	t.EarlyExited += o.EarlyExited
 	t.HeapPops += o.HeapPops
 	t.SecondBestHits += o.SecondBestHits
@@ -184,11 +164,11 @@ func (t *Totals) Merge(o Totals) {
 // PrunedFraction is the aggregate fraction of candidate pairs rejected
 // before a full-dimensional evaluation.
 func (t Totals) PrunedFraction() float64 {
-	considered := t.NormPruned + t.QuantPruned + t.DistanceEvals
+	considered := t.NormPruned + t.DistanceEvals
 	if considered == 0 {
 		return 0
 	}
-	return float64(t.NormPruned+t.QuantPruned+t.EarlyExited) / float64(considered)
+	return float64(t.NormPruned+t.EarlyExited) / float64(considered)
 }
 
 // String renders the totals as a one-line engine summary.
@@ -450,15 +430,6 @@ func (e *engine) parallelRows(ctx context.Context, workers, m int, stats *Stats,
 	return nil
 }
 
-// TotalDistance sums link distances (the optimization objective).
-func TotalDistance(links []Link) float64 {
-	sum := 0.0
-	for _, l := range links {
-		sum += l.Distance
-	}
-	return sum
-}
-
 // KNNSelect is the contrast the paper draws in Sec. III-B-3: plain 1-nearest
 // -neighbor selection where a wild patch may be chosen by multiple verified
 // patches. It returns the set of distinct selected columns (size <= M),
@@ -474,25 +445,12 @@ func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) (
 	if err := validateDims(security, wild); err != nil {
 		return nil, err
 	}
-	return knnFlat(ctx, flatten(security), flatten(wild), opts, true)
+	return knnFlat(ctx, flatten(security), flatten(wild), opts)
 }
 
-// KNNSelectMatrix is KNNSelect over pre-flattened matrices.
-func KNNSelectMatrix(ctx context.Context, security, wild *Matrix, opts *Options) ([]int, error) {
-	if security == nil || security.rows == 0 {
-		return nil, ErrNoSecurityPatches
-	}
-	if wild == nil || wild.rows == 0 {
-		return nil, ErrNoWildPatches
-	}
-	if security.cols != wild.cols {
-		return nil, fmt.Errorf("%w: security rows have %d features, wild rows %d",
-			ErrDimensionMismatch, security.cols, wild.cols)
-	}
-	return knnFlat(ctx, security, wild, opts, false)
-}
-
-func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) ([]int, error) {
+// knnFlat is the KNNSelect core over flat copies owned by the call, which
+// it weights in place.
+func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -502,13 +460,8 @@ func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) (
 	stats := Stats{SecurityRows: sec.rows, WildCols: wld.rows}
 	if !o.DisableNormalization {
 		w := weightsFlat(sec, wld)
-		if owned {
-			applyWeights(sec, w)
-			applyWeights(wld, w)
-		} else {
-			sec = weightedClone(sec, w)
-			wld = weightedClone(wld, w)
-		}
+		applyWeights(sec, w)
+		applyWeights(wld, w)
 	}
 	e := newEngine(sec, wld)
 	m := sec.rows
@@ -536,33 +489,8 @@ func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) (
 	return out, nil
 }
 
-// DistanceMatrix materializes the full weighted distance matrix (tests and
-// small inputs only). Ragged rows return a wrapped ErrDimensionMismatch.
-func DistanceMatrix(security, wild [][]float64, normalize bool) ([][]float64, error) {
-	if err := validateDims(security, wild); err != nil {
-		return nil, err
-	}
-	sec, wld := security, wild
-	if normalize {
-		w, err := Weights(security, wild)
-		if err != nil {
-			return nil, err
-		}
-		sec = weightedRows(security, w)
-		wld = weightedRows(wild, w)
-	}
-	d := make([][]float64, len(sec))
-	for i, row := range sec {
-		d[i] = make([]float64, len(wld))
-		for j := range wld {
-			d[i][j] = math.Sqrt(dist2(row, wld[j]))
-		}
-	}
-	return d, nil
-}
-
 // weightedRows returns rows scaled by w (row-per-row allocation; used only
-// by the reference paths and DistanceMatrix).
+// by the reference paths).
 func weightedRows(rows [][]float64, w []float64) [][]float64 {
 	out := make([][]float64, len(rows))
 	for i, row := range rows {

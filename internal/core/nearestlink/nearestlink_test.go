@@ -322,7 +322,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestStatsDeterministicAcrossWorkers pins the deterministic-counter
-// contract of the blocked scan: at a fixed (BlockRows, ShardCols) the task
+// contract of the blocked scan: at a fixed (blockRows, shardCols) the task
 // grid, every task's visit order, and every pruning bound are independent of
 // the worker count, so the full Stats accounting — not just the links — must
 // be bit-identical at workers 1, 2, and 8. Duration is wall-clock telemetry
@@ -331,50 +331,38 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sec := randRows(rng, 45, 12)
 	wild := randRows(rng, 700, 12)
-	on := true
-	for _, quant := range []*bool{nil, &on} {
-		// BlockRows 8 and ShardCols 128 give a 6x6 task grid at this shape,
-		// so the counters really do merge across many concurrently scanned
-		// cells.
-		base := Options{BlockRows: 8, ShardCols: 128, Quantize: quant}
-		var want Stats
-		var wantLinks []Link
-		for wi, workers := range []int{1, 2, 8} {
-			o := base
-			o.Workers = workers
-			var st Stats
-			o.Stats = &st
-			links, err := Search(bg, sec, wild, &o)
-			if err != nil {
-				t.Fatalf("quant=%v w=%d: %v", quant != nil, workers, err)
-			}
-			st.Duration = 0
-			if wi == 0 {
-				want, wantLinks = st, links
-				if quant != nil && st.QuantPruned == 0 {
-					t.Error("forced-on quantizer pruned nothing; counter contract untested")
-				}
-				continue
-			}
-			if st != want {
-				t.Errorf("quant=%v w=%d: stats diverge:\n got %+v\nwant %+v",
-					quant != nil, workers, st, want)
-			}
-			if len(links) != len(wantLinks) {
-				t.Fatalf("quant=%v w=%d: %d links, want %d", quant != nil, workers, len(links), len(wantLinks))
-			}
-			for k := range links {
-				if links[k] != wantLinks[k] {
-					t.Fatalf("quant=%v w=%d: link %d = %+v, want %+v",
-						quant != nil, workers, k, links[k], wantLinks[k])
-				}
+	// blockRows 8 and shardCols 128 give a 6x6 task grid at this shape, so
+	// the counters really do merge across many concurrently scanned cells.
+	var want Stats
+	var wantLinks []Link
+	for wi, workers := range []int{1, 2, 8} {
+		var st Stats
+		o := Options{Workers: workers, Stats: &st, blockRows: 8, shardCols: 128}
+		links, err := Search(bg, sec, wild, &o)
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		st.Duration = 0
+		if wi == 0 {
+			want, wantLinks = st, links
+			continue
+		}
+		if st != want {
+			t.Errorf("w=%d: stats diverge:\n got %+v\nwant %+v", workers, st, want)
+		}
+		if len(links) != len(wantLinks) {
+			t.Fatalf("w=%d: %d links, want %d", workers, len(links), len(wantLinks))
+		}
+		for k := range links {
+			if links[k] != wantLinks[k] {
+				t.Fatalf("w=%d: link %d = %+v, want %+v", workers, k, links[k], wantLinks[k])
 			}
 		}
 	}
 }
 
 // TestLinksInvariantAcrossBlockAndShard pins the other half of the contract:
-// BlockRows and ShardCols move pruning decisions between stages (the
+// blockRows and shardCols move pruning decisions between stages (the
 // counters may change) but may never change the links. Every combination —
 // including degenerate single-row blocks and shards smaller than one sweep
 // tile — must reproduce the reference assignment bit-for-bit.
@@ -389,7 +377,7 @@ func TestLinksInvariantAcrossBlockAndShard(t *testing.T) {
 	for _, blockRows := range []int{1, 3, 16, 64} {
 		for _, shardCols := range []int{32, 100, 1000} {
 			got, err := Search(bg, sec, wild,
-				&Options{Workers: 4, BlockRows: blockRows, ShardCols: shardCols})
+				&Options{Workers: 4, blockRows: blockRows, shardCols: shardCols})
 			if err != nil {
 				t.Fatalf("block=%d shard=%d: %v", blockRows, shardCols, err)
 			}
@@ -441,27 +429,6 @@ func TestKNNSelectAllowsFewer(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrix(t *testing.T) {
-	d, err := DistanceMatrix([][]float64{{0, 0}, {3, 4}}, [][]float64{{0, 0}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d[0][0] != 0 || d[1][0] != 5 {
-		t.Errorf("matrix = %v", d)
-	}
-	// Ragged rows used to panic; they must error instead.
-	if _, err := DistanceMatrix([][]float64{{0, 0}, {3}}, [][]float64{{0, 0}}, true); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("ragged err = %v, want ErrDimensionMismatch", err)
-	}
-}
-
-func TestTotalDistance(t *testing.T) {
-	links := []Link{{Distance: 1.5}, {Distance: 2.5}}
-	if TotalDistance(links) != 4 {
-		t.Errorf("total = %v", TotalDistance(links))
-	}
-}
-
 // TestGreedyClosestPairAlwaysLinked asserts the structural invariant greedy
 // guarantees: the globally closest pair is always linked first.
 func TestGreedyClosestPairAlwaysLinked(t *testing.T) {
@@ -496,6 +463,17 @@ func TestGreedyClosestPairAlwaysLinked(t *testing.T) {
 	}
 }
 
+// screened runs one candidate through the scan's per-dimension screens in
+// engine order — prefixScreen over the first screenPrefix dimensions, with
+// the shaded tail norm gap as its lower-bound add, then screenTailDist2
+// over the rest — and reports whether it survives against bound.
+func screened(a, b []float64, bound float64) bool {
+	pw := min(screenPrefix, len(a))
+	g := math.Sqrt(dot(a[pw:], a[pw:])) - math.Sqrt(dot(b[pw:], b[pw:]))
+	pd, ok := prefixScreen(a[:pw], b[:pw], g*g*normBoundShade, bound*screenSlack)
+	return ok && screenTailDist2(a[pw:], b[pw:], pd, bound)
+}
+
 // TestKernelEquivalence pins the exactness contract of the fast kernels:
 // screening may never reject a candidate the reference-order dist2 would
 // accept (its rejection must be conservative under the reordering error of
@@ -511,28 +489,24 @@ func TestKernelEquivalence(t *testing.T) {
 			b[j] = rng.NormFloat64() * 10
 		}
 		want := dist2(a, b)
-		got, maybe := screenDist2(a, b, inf)
-		if !maybe {
-			t.Fatalf("trial %d: screen rejected against an infinite bound", trial)
+		pw := min(screenPrefix, d)
+		if p, q := prefixDist2(a[:pw], b[:pw]), dist2(a[:pw], b[:pw]); math.Abs(p-q)/math.Max(q, 1) > 1e-13 {
+			t.Fatalf("trial %d: prefix sum %v vs dist2 %v", trial, p, q)
 		}
-		if rel := math.Abs(got-want) / math.Max(want, 1); rel > 1e-13 {
-			t.Fatalf("trial %d: screen sum %v vs dist2 %v (rel err %v)", trial, got, want, rel)
-		}
-		// No false rejection: any bound the reference-order value beats must
-		// survive screening.
-		for _, bound := range []float64{want * 1.000001, want + 1, want * 4} {
-			if want >= bound {
-				continue
-			}
-			if _, maybe := screenDist2(a, b, bound); !maybe {
+		// No false rejection: any bound the reference-order value meets must
+		// survive screening, including a tie.
+		for _, bound := range []float64{inf, want, want * 1.000001, want + 1, want * 4} {
+			if !screened(a, b, bound) {
 				t.Fatalf("trial %d: screen rejected dist %v against bound %v", trial, want, bound)
 			}
 		}
 		// True rejection against a bound clearly below the distance.
-		if want > 0 {
-			if _, maybe := screenDist2(a, b, want/2); maybe {
-				t.Fatalf("trial %d: bound %v not honored", trial, want/2)
-			}
+		if want > 0 && screened(a, b, want/2) {
+			t.Fatalf("trial %d: bound %v not honored", trial, want/2)
+		}
+		// An exact duplicate survives a zero bound: it may win a tie by index.
+		if !screened(a, a, 0) {
+			t.Fatalf("trial %d: exact duplicate rejected against bound 0", trial)
 		}
 		na, nb := math.Sqrt(dot(a, a)), math.Sqrt(dot(b, b))
 		diff := na - nb

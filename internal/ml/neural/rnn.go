@@ -9,6 +9,7 @@ package neural
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"patchdb/internal/ml"
 )
@@ -33,17 +34,14 @@ func BuildVocab(seqs [][]string, maxSize int) *Vocab {
 	for w := range freq {
 		words = append(words, w)
 	}
-	// Sort by frequency desc, then lexicographically for determinism.
-	for i := 1; i < len(words); i++ {
-		for j := i; j > 0; j-- {
-			a, b := words[j-1], words[j]
-			if freq[b] > freq[a] || (freq[b] == freq[a] && b < a) {
-				words[j-1], words[j] = b, a
-			} else {
-				break
-			}
+	// Sort by frequency desc, then lexicographically for determinism. The
+	// words are unique, so this is a strict total order.
+	sort.Slice(words, func(i, j int) bool {
+		if fi, fj := freq[words[i]], freq[words[j]]; fi != fj {
+			return fi > fj
 		}
-	}
+		return words[i] < words[j]
+	})
 	if maxSize > 0 && len(words) > maxSize {
 		words = words[:maxSize]
 	}

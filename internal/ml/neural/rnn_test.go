@@ -3,6 +3,7 @@ package neural
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"patchdb/internal/ml"
@@ -35,6 +36,40 @@ func TestVocabMaxSize(t *testing.T) {
 	}
 	if v.ID("c") != 0 {
 		t.Error("least frequent token survived the cap")
+	}
+}
+
+// TestVocabOrder pins the vocabulary order: frequency descending, ties by
+// word ascending, truncated to maxSize after sorting.
+func TestVocabOrder(t *testing.T) {
+	seqs := [][]string{
+		{"if", "x", "(", "x", ")", "y"},
+		{"x", "y", "z", "(", "if"},
+		{"b", "a", "c"},
+	}
+	// Frequencies: x=3; if=2 (=2 y=2; )=1 a=1 b=1 c=1 z=1.
+	for _, tc := range []struct {
+		maxSize int
+		want    []string
+	}{
+		{0, []string{"<unk>", "x", "(", "if", "y", ")", "a", "b", "c", "z"}},
+		{4, []string{"<unk>", "x", "(", "if", "y"}},
+		{6, []string{"<unk>", "x", "(", "if", "y", ")", "a"}},
+		{20, []string{"<unk>", "x", "(", "if", "y", ")", "a", "b", "c", "z"}},
+		{1, []string{"<unk>", "x"}},
+	} {
+		v := BuildVocab(seqs, tc.maxSize)
+		if !reflect.DeepEqual(v.words, tc.want) {
+			t.Errorf("maxSize %d: words = %q, want %q", tc.maxSize, v.words, tc.want)
+		}
+		for id, w := range tc.want {
+			if v.ID(w) != id {
+				t.Errorf("maxSize %d: ID(%q) = %d, want %d", tc.maxSize, w, v.ID(w), id)
+			}
+		}
+	}
+	if v := BuildVocab(nil, 0); !reflect.DeepEqual(v.words, []string{"<unk>"}) {
+		t.Errorf("empty input: words = %q", v.words)
 	}
 }
 

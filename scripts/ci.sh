@@ -2,8 +2,9 @@
 # scripts/ci.sh — the merge gate as one script, for environments without
 # GitHub Actions. Mirrors .github/workflows/ci.yml and `make ci`: build,
 # stock vet, the custom patchdb-lint suite, the test run, the race-enabled
-# crash-safety suite, and the fully-verified nearest-link engine smoke
-# sweep. Exits non-zero on the first failure.
+# crash-safety suite, the fully-verified nearest-link engine smoke sweep,
+# and a short run of every fuzz target. Exits non-zero on the first
+# failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,5 +67,8 @@ echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
+
+echo "==> fuzz-smoke (every Fuzz target, 3s each)"
+GO="$GO" sh scripts/fuzz-smoke.sh
 
 echo "ci: ok"
