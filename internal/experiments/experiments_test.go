@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +22,30 @@ func sharedLab(t *testing.T) *Lab {
 	t.Helper()
 	labOnce.Do(func() { lab = NewLab(SmallScale) })
 	return lab
+}
+
+// sharedTableIII and sharedTableVI run Tables III and VI once on the shared
+// lab, so the shape tests and the digest test share one model fit.
+var (
+	sharedTableIII = onceTable((*Lab).RunTableIII)
+	sharedTableVI  = onceTable((*Lab).RunTableVI)
+)
+
+func onceTable[T any](run func(*Lab) (T, error)) func(*testing.T) T {
+	var (
+		once sync.Once
+		tab  T
+		err  error
+	)
+	return func(t *testing.T) T {
+		t.Helper()
+		l := sharedLab(t)
+		once.Do(func() { tab, err = run(l) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
 }
 
 func TestLabPopulations(t *testing.T) {
@@ -86,10 +113,7 @@ func TestTableIIShape(t *testing.T) {
 
 func TestTableIIIOrdering(t *testing.T) {
 	l := sharedLab(t)
-	tab, err := l.RunTableIII()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sharedTableIII(t)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -202,11 +226,7 @@ func TestTableVIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RNN training")
 	}
-	l := sharedLab(t)
-	tab, err := l.RunTableVI()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sharedTableVI(t)
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8 (2 train x 2 algo x 2 test)", len(tab.Rows))
 	}
@@ -232,6 +252,25 @@ func TestTableVIShape(t *testing.T) {
 	}
 	if s := tab.String(); !strings.Contains(s, "Random Forest") {
 		t.Error("render missing algorithm")
+	}
+}
+
+// TestTablesIIIAndVIGolden pins the rendered Tables III and VI at
+// SmallScale bit for bit: the model fits behind them (SMO, the ten-classifier
+// ensemble, the RNN) must not change one output bit when they are optimised.
+// The digest was recorded on amd64; platforms that fuse multiply-adds may
+// round differently.
+func TestTablesIIIAndVIGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RNN training")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64")
+	}
+	sum := sha256.Sum256([]byte(sharedTableIII(t).String() + sharedTableVI(t).String()))
+	const want = "6d373ec2a7cdc5796885e8f26e97a6dee259b56d3c7cbb9f2e4266b3faebae53"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("digest = %s, want %s", got, want)
 	}
 }
 
