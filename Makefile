@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-nearestlink bench-smoke fuzz-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build test vet lint race bench bench-ml bench-nearestlink bench-smoke fuzz-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ race:
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .
+
+# bench-ml times the two model kernels behind the paper-table reproduction:
+# one SMO fit on a full 800-row working set and one RNN fit (with ns/step),
+# each with allocations per fit. Informational only; nothing gates on it.
+bench-ml:
+	$(GO) test -run XXX -bench 'BenchmarkSMOFit|BenchmarkRNNFit' -benchtime 3x -benchmem ./internal/ml/linear/ ./internal/ml/neural/
 
 # bench-nearestlink sweeps the nearest-link engine up to 2k seeds x 200k
 # wild commits and writes BENCH_nearestlink.json (ns/op, distance evals,

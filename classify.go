@@ -16,6 +16,10 @@ const (
 	Security = ml.Security
 )
 
+// ErrLengthMismatch is wrapped by the error RNN.FitTokensWeighted returns
+// when the labels or sample weights do not have one entry per sequence.
+var ErrLengthMismatch = ml.ErrLengthMismatch
+
 // Classifier is a binary classifier over feature vectors.
 type Classifier = ml.Classifier
 

@@ -22,6 +22,10 @@ const (
 // ErrEmptyDataset is returned by Fit when there are no training rows.
 var ErrEmptyDataset = errors.New("ml: empty training dataset")
 
+// ErrLengthMismatch is returned by Fit when the labels or sample weights do
+// not have one entry per training row.
+var ErrLengthMismatch = errors.New("ml: length mismatch between training rows and labels or weights")
+
 // Classifier is a binary classifier over feature vectors.
 type Classifier interface {
 	// Fit trains on rows X with labels y (0 or 1).

@@ -7,6 +7,7 @@
 package neural
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -140,10 +141,18 @@ func (r *RNN) FitTokens(seqs [][]string, y []int) error {
 }
 
 // FitTokensWeighted trains with optional per-sample loss weights (nil means
-// uniform). Class weighting for imbalance is applied on top.
+// uniform). Class weighting for imbalance is applied on top. It returns an
+// error wrapping ml.ErrLengthMismatch when y, or a non-nil sampleW, does not
+// have one entry per sequence.
 func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) error {
 	if len(seqs) == 0 {
 		return ml.ErrEmptyDataset
+	}
+	if len(y) != len(seqs) {
+		return fmt.Errorf("neural: %d labels for %d sequences: %w", len(y), len(seqs), ml.ErrLengthMismatch)
+	}
+	if sampleW != nil && len(sampleW) != len(seqs) {
+		return fmt.Errorf("neural: %d sample weights for %d sequences: %w", len(sampleW), len(seqs), ml.ErrLengthMismatch)
 	}
 	r.defaults()
 	rng := rand.New(rand.NewSource(r.Seed + 101))
@@ -185,6 +194,7 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 			posWeight = 4
 		}
 	}
+	sc := r.newScratch()
 	for epoch := 0; epoch < r.Epochs; epoch++ {
 		for _, i := range rng.Perm(len(encoded)) {
 			w := 1.0
@@ -194,124 +204,175 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 			if sampleW != nil {
 				w *= sampleW[i]
 			}
-			r.step(encoded[i], float64(y[i]), w)
+			r.step(sc, encoded[i], float64(y[i]), w)
 		}
 	}
 	return nil
 }
 
+// scratch holds every buffer a training step needs. FitTokensWeighted
+// allocates one per fit, so step itself allocates nothing.
+type scratch struct {
+	hs         []float64 // (MaxLen+1) x Hidden states; row 0 stays zero
+	dWxh       []float64 // Hidden x Embed
+	dWhh       []float64 // Hidden x Hidden
+	dBh, dWout []float64
+	dh, nextDh []float64 // ping-pong dL/dh for BPTT
+	dEmb       []float64 // vocab x Embed; nonzero only in touched rows
+	touched    []int     // ids with a dEmb row this step, in backward-pass order
+	seen       []bool    // seen[id] marks id as touched
+}
+
+func (r *RNN) newScratch() *scratch {
+	h, e, v := r.Hidden, r.Embed, r.vocab.Size()
+	return &scratch{
+		hs:      make([]float64, (r.MaxLen+1)*h),
+		dWxh:    make([]float64, h*e),
+		dWhh:    make([]float64, h*h),
+		dBh:     make([]float64, h),
+		dWout:   make([]float64, h),
+		dh:      make([]float64, h),
+		nextDh:  make([]float64, h),
+		dEmb:    make([]float64, v*e),
+		touched: make([]int, 0, min(v, r.MaxLen)),
+		seen:    make([]bool, v),
+	}
+}
+
 // step runs one forward+BPTT pass and applies Adagrad updates. weight
-// scales the loss gradient (class weighting).
-func (r *RNN) step(ids []int, target, weight float64) {
+// scales the loss gradient (class weighting). The scratch carries no state
+// between steps: step zeroes every buffer it accumulates into, so reusing
+// it changes no result.
+func (r *RNN) step(sc *scratch, ids []int, target, weight float64) {
 	if len(ids) == 0 {
 		return
 	}
+	H, E := r.Hidden, r.Embed
 	tlen := len(ids)
-	hs := make([][]float64, tlen+1)
-	hs[0] = make([]float64, r.Hidden)
-	raw := make([][]float64, tlen) // pre-activation, for tanh'
 	for t, id := range ids {
-		h := make([]float64, r.Hidden)
-		e := r.emb[id]
-		prev := hs[t]
-		for j := 0; j < r.Hidden; j++ {
-			sum := r.bh[j]
-			wx := r.wxh[j]
-			for k := 0; k < r.Embed; k++ {
-				sum += wx[k] * e[k]
-			}
-			wh := r.whh[j]
-			for k := 0; k < r.Hidden; k++ {
-				sum += wh[k] * prev[k]
-			}
-			h[j] = math.Tanh(sum)
-		}
-		raw[t] = h
-		hs[t+1] = h
+		r.cell(sc.hs[(t+1)*H:][:H], sc.hs[t*H:][:H], r.emb[id])
 	}
-	last := hs[tlen]
+	last := sc.hs[tlen*H:][:H]
 	z := r.bout
-	for j := 0; j < r.Hidden; j++ {
+	for j := 0; j < H; j++ {
 		z += r.wout[j] * last[j]
 	}
 	p := 1 / (1 + math.Exp(-z))
 	dz := (p - target) * weight // dL/dz for weighted BCE
 
 	// Output layer gradients.
-	dWout := make([]float64, r.Hidden)
-	dh := make([]float64, r.Hidden)
-	for j := 0; j < r.Hidden; j++ {
-		dWout[j] = dz * last[j]
+	dh := sc.dh
+	for j := 0; j < H; j++ {
+		sc.dWout[j] = dz * last[j]
 		dh[j] = dz * r.wout[j]
 	}
+	clear(sc.dWxh)
+	clear(sc.dWhh)
+	clear(sc.dBh)
 
-	dWxh := make([][]float64, r.Hidden)
-	dWhh := make([][]float64, r.Hidden)
-	for j := range dWxh {
-		dWxh[j] = make([]float64, r.Embed)
-		dWhh[j] = make([]float64, r.Hidden)
-	}
-	dBh := make([]float64, r.Hidden)
-	dEmb := make(map[int][]float64)
-
+	nextDh := sc.nextDh
 	for t := tlen - 1; t >= 0; t-- {
-		h := hs[t+1]
-		prev := hs[t]
-		e := r.emb[ids[t]]
-		dRaw := make([]float64, r.Hidden)
-		for j := 0; j < r.Hidden; j++ {
-			dRaw[j] = dh[j] * (1 - h[j]*h[j])
+		prev, h := sc.hs[t*H:][:H], sc.hs[(t+1)*H:][:H]
+		id := ids[t]
+		if !sc.seen[id] {
+			sc.seen[id] = true
+			sc.touched = append(sc.touched, id)
 		}
-		de, ok := dEmb[ids[t]]
-		if !ok {
-			de = make([]float64, r.Embed)
-			dEmb[ids[t]] = de
-		}
-		nextDh := make([]float64, r.Hidden)
-		for j := 0; j < r.Hidden; j++ {
-			g := dRaw[j]
-			dBh[j] += g
-			wx := dWxh[j]
-			for k := 0; k < r.Embed; k++ {
+		e, de := r.emb[id][:E], sc.dEmb[id*E:][:E]
+		next := nextDh[:H]
+		clear(next)
+		for j := range h {
+			g := dh[j] * (1 - h[j]*h[j])
+			sc.dBh[j] += g
+			wx, rwx := sc.dWxh[j*E:][:E], r.wxh[j][:E]
+			for k := range wx {
 				wx[k] += g * e[k]
-				de[k] += g * r.wxh[j][k]
+				de[k] += g * rwx[k]
 			}
-			wh := dWhh[j]
-			for k := 0; k < r.Hidden; k++ {
+			wh, rwh := sc.dWhh[j*H:][:H], r.whh[j][:H]
+			for k := range wh {
 				wh[k] += g * prev[k]
-				nextDh[k] += g * r.whh[j][k]
+				next[k] += g * rwh[k]
 			}
 		}
-		dh = nextDh
+		dh, nextDh = nextDh, dh
 	}
 
-	clip := func(g float64) float64 {
-		if g > r.Clip {
-			return r.Clip
-		}
-		if g < -r.Clip {
-			return -r.Clip
-		}
-		return g
+	for j := 0; j < H; j++ {
+		r.adagrad(r.wxh[j], sc.dWxh[j*E:][:E], r.gWxh[j])
+		r.adagrad(r.whh[j], sc.dWhh[j*H:][:H], r.gWhh[j])
 	}
-	adagrad := func(w, g []float64, acc []float64) {
-		for j := range w {
-			gj := clip(g[j])
-			acc[j] += gj * gj
-			w[j] -= r.LR * gj / (math.Sqrt(acc[j]) + 1e-8)
-		}
-	}
-	for j := 0; j < r.Hidden; j++ {
-		adagrad(r.wxh[j], dWxh[j], r.gWxh[j])
-		adagrad(r.whh[j], dWhh[j], r.gWhh[j])
-	}
-	adagrad(r.bh, dBh, r.gBh)
-	adagrad(r.wout, dWout, r.gWout)
-	gb := clip(dz)
+	r.adagrad(r.bh, sc.dBh, r.gBh)
+	r.adagrad(r.wout, sc.dWout, r.gWout)
+	gb := r.clip(dz)
 	r.gBout += gb * gb
 	r.bout -= r.LR * gb / (math.Sqrt(r.gBout) + 1e-8)
-	for id, de := range dEmb {
-		adagrad(r.emb[id], de, r.gEmb[id])
+	// Each id's update reads only its own row, so the touched order gives
+	// the same weights as any other.
+	for _, id := range sc.touched {
+		de := sc.dEmb[id*E:][:E]
+		r.adagrad(r.emb[id], de, r.gEmb[id])
+		clear(de)
+		sc.seen[id] = false
+	}
+	sc.touched = sc.touched[:0]
+}
+
+// cell computes one recurrent step, h = tanh(bh + wxh·e + whh·prev). Each
+// unit's sum runs in a fixed order: bias, then the input terms, then the
+// recurrent terms, each by ascending index. Four units are summed side by
+// side; their sums are independent chains, so the interleaving hides add
+// latency without reordering any sum.
+func (r *RNN) cell(h, prev, e []float64) {
+	e, prev = e[:r.Embed], prev[:len(h)]
+	j := 0
+	for ; j+4 <= len(h); j += 4 {
+		s0, s1, s2, s3 := r.bh[j], r.bh[j+1], r.bh[j+2], r.bh[j+3]
+		x0, x1, x2, x3 := r.wxh[j][:len(e)], r.wxh[j+1][:len(e)], r.wxh[j+2][:len(e)], r.wxh[j+3][:len(e)]
+		for k, v := range e {
+			s0 += x0[k] * v
+			s1 += x1[k] * v
+			s2 += x2[k] * v
+			s3 += x3[k] * v
+		}
+		w0, w1, w2, w3 := r.whh[j][:len(prev)], r.whh[j+1][:len(prev)], r.whh[j+2][:len(prev)], r.whh[j+3][:len(prev)]
+		for k, v := range prev {
+			s0 += w0[k] * v
+			s1 += w1[k] * v
+			s2 += w2[k] * v
+			s3 += w3[k] * v
+		}
+		h[j], h[j+1], h[j+2], h[j+3] = math.Tanh(s0), math.Tanh(s1), math.Tanh(s2), math.Tanh(s3)
+	}
+	for ; j < len(h); j++ {
+		sum := r.bh[j]
+		for k, w := range r.wxh[j][:len(e)] {
+			sum += w * e[k]
+		}
+		for k, w := range r.whh[j][:len(prev)] {
+			sum += w * prev[k]
+		}
+		h[j] = math.Tanh(sum)
+	}
+}
+
+func (r *RNN) clip(g float64) float64 {
+	if g > r.Clip {
+		return r.Clip
+	}
+	if g < -r.Clip {
+		return -r.Clip
+	}
+	return g
+}
+
+// adagrad applies one clipped Adagrad update of w by gradient g, with acc
+// the running sum of squared gradients.
+func (r *RNN) adagrad(w, g, acc []float64) {
+	for j := range w {
+		gj := r.clip(g[j])
+		acc[j] += gj * gj
+		w[j] -= r.LR * gj / (math.Sqrt(acc[j]) + 1e-8)
 	}
 }
 
@@ -327,19 +388,7 @@ func (r *RNN) ProbaTokens(seq []string) float64 {
 	h := make([]float64, r.Hidden)
 	next := make([]float64, r.Hidden)
 	for _, id := range ids {
-		e := r.emb[id]
-		for j := 0; j < r.Hidden; j++ {
-			sum := r.bh[j]
-			wx := r.wxh[j]
-			for k := 0; k < r.Embed; k++ {
-				sum += wx[k] * e[k]
-			}
-			wh := r.whh[j]
-			for k := 0; k < r.Hidden; k++ {
-				sum += wh[k] * h[k]
-			}
-			next[j] = math.Tanh(sum)
-		}
+		r.cell(next, h, r.emb[id])
 		h, next = next, h
 	}
 	z := r.bout

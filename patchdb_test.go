@@ -159,6 +159,16 @@ func TestClassifierFacades(t *testing.T) {
 	if err := rnn.FitTokens([][]string{{"a", "b"}, {"MARKER", "b"}}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
+	if err := rnn.FitTokens([][]string{{"a", "b"}, {"MARKER", "b"}}, []int{1}); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("one label for two sequences: err = %v, want ErrLengthMismatch", err)
+	}
+	smo := NewSMO(1)
+	if err := smo.Fit(x[2:3], y[2:3]); err != nil {
+		t.Fatal(err)
+	}
+	if got := smo.Predict(x[2]); got != Security {
+		t.Errorf("SMO fit on one security row predicts %d", got)
+	}
 }
 
 func TestEvaluateFacade(t *testing.T) {
