@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-ml bench-nearestlink bench-smoke fuzz-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build test vet lint race bench bench-ml bench-nearestlink bench-smoke fuzz-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-repro verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,12 @@ verify-serve:
 verify-resume:
 	$(GO) test -race -count=1 ./internal/atomicio/ ./internal/checkpoint/ ./internal/experiments/resumebench/
 
+# verify-repro runs the paper reproduction's worker-invariance test under the
+# race detector: Tables III, IV and VI, whose independent model fits run
+# concurrently, must render byte-identically at GOMAXPROCS 1 and 4.
+verify-repro:
+	$(GO) test -race -count=1 -run TestReproductionWorkerInvariant ./internal/experiments/
+
 # verify-obs runs the observability-correlation suite under the race
 # detector: structured-logging determinism, SLO burn-rate verdicts (window
 # edges, zero traffic, worker invariance), exposition goldens with
@@ -116,9 +122,10 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 
 # ci is the fast merge gate mirrored by .github/workflows/ci.yml and
 # scripts/ci.sh: build, both static-analysis tiers, the plain test run, the
-# race-enabled observability-correlation and crash-safety suites, the
-# fully-verified engine smoke sweep, and the fuzz smoke run.
-ci: build vet lint test verify-obs verify-resume bench-smoke fuzz-smoke
+# race-enabled observability-correlation, crash-safety and reproduction
+# worker-invariance suites, the fully-verified engine smoke sweep, and the
+# fuzz smoke run.
+ci: build vet lint test verify-obs verify-resume verify-repro bench-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -10,7 +10,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"patchdb/internal/core/augment"
 	"patchdb/internal/corpus"
@@ -168,20 +170,38 @@ func (l *Lab) Features(lc *corpus.LabeledCommit) []float64 {
 
 // Precompute extracts features for whole pools in parallel.
 func (l *Lab) Precompute(pools ...[]*corpus.LabeledCommit) {
+	all := slices.Concat(pools...)
+	_ = parallel(len(all), func(i int) error {
+		l.Features(all[i])
+		return nil
+	})
+}
+
+// parallel calls fn(0), ..., fn(n-1) on at most GOMAXPROCS goroutines and
+// waits for all of them. It returns the error of the lowest failing index,
+// so which error a caller sees does not depend on scheduling. Callers keep
+// their results bit-identical at any GOMAXPROCS by giving every call its own
+// seed and output slot and reducing the slots in index order afterwards.
+func parallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, pool := range pools {
-		for _, lc := range pool {
-			wg.Add(1)
-			go func(lc *corpus.LabeledCommit) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				l.Features(lc)
-			}(lc)
-		}
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Items converts a pool to augmentation items (features extracted lazily

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"patchdb/internal/core/baselines"
@@ -108,44 +109,46 @@ func (l *Lab) RunTableIII() (*TableIII, error) {
 		return p, ml.ConfidenceInterval95(p, len(sample)), len(sample)
 	}
 
-	var t TableIII
+	// The three model-driven candidate lists touch neither rng nor the
+	// oracle, so they are computed concurrently; brute force and every
+	// verification then draw from rng in a fixed order.
+	methods := []struct {
+		name string
+		find func() ([]int, error)
+	}{
+		{"Pseudo Labeling", func() ([]int, error) {
+			return baselines.PseudoLabeling(train, pool, len(l.NVD), l.Scale.Seed)
+		}},
+		{"Uncertainty-based Labeling", func() ([]int, error) {
+			return baselines.Uncertainty(train, pool, l.Scale.Seed)
+		}},
+		{"Nearest Link Search (ours)", func() ([]int, error) {
+			return nearestLinkCandidates(seedX, pool)
+		}},
+	}
+	candidates := make([][]int, len(methods))
+	if err := parallel(len(methods), func(i int) error {
+		var err error
+		candidates[i], err = methods[i].find()
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("table III: %w", err)
+	}
 
+	var t TableIII
 	bf := baselines.BruteForce(pool, l.Scale.VerifySample, rng)
 	pct, ci, n := verifySample(bf)
 	t.Rows = append(t.Rows, TableIIIRow{
 		Method: "Brute Force Search", Unlabeled: len(pool), Candidates: len(pool),
 		SecurityPct: pct, CI95: ci, SampleSize: n,
 	})
-
-	pl, err := baselines.PseudoLabeling(train, pool, len(l.NVD), l.Scale.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("table III: %w", err)
+	for i, m := range methods {
+		pct, ci, n := verifySample(candidates[i])
+		t.Rows = append(t.Rows, TableIIIRow{
+			Method: m.name, Unlabeled: len(pool), Candidates: len(candidates[i]),
+			SecurityPct: pct, CI95: ci, SampleSize: n,
+		})
 	}
-	pct, ci, n = verifySample(pl)
-	t.Rows = append(t.Rows, TableIIIRow{
-		Method: "Pseudo Labeling", Unlabeled: len(pool), Candidates: len(pl),
-		SecurityPct: pct, CI95: ci, SampleSize: n,
-	})
-
-	ub, err := baselines.Uncertainty(train, pool, l.Scale.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("table III: %w", err)
-	}
-	pct, ci, n = verifySample(ub)
-	t.Rows = append(t.Rows, TableIIIRow{
-		Method: "Uncertainty-based Labeling", Unlabeled: len(pool), Candidates: len(ub),
-		SecurityPct: pct, CI95: ci, SampleSize: n,
-	})
-
-	links, err := nearestLinkCandidates(seedX, pool)
-	if err != nil {
-		return nil, fmt.Errorf("table III: %w", err)
-	}
-	pct, ci, n = verifySample(links)
-	t.Rows = append(t.Rows, TableIIIRow{
-		Method: "Nearest Link Search (ours)", Unlabeled: len(pool), Candidates: len(links),
-		SecurityPct: pct, CI95: ci, SampleSize: n,
-	})
 	return &t, nil
 }
 
@@ -288,7 +291,7 @@ func (l *Lab) RunTableVII() (*TableVII, error) {
 		return nil, err
 	}
 	inputs := make([]fixpattern.Input, 0, len(l.NVD)+len(wild))
-	for _, lc := range append(append([]*corpus.LabeledCommit(nil), l.NVD...), wild...) {
+	for _, lc := range slices.Concat(l.NVD, wild) {
 		inputs = append(inputs, fixpattern.Input{Patch: lc.Commit.Patch(), Pattern: lc.Pattern})
 	}
 	miner := fixpattern.Miner{MinSupport: max(3, len(inputs)/100), TopK: 2}

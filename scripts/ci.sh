@@ -2,8 +2,8 @@
 # scripts/ci.sh — the merge gate as one script, for environments without
 # GitHub Actions. Mirrors .github/workflows/ci.yml and `make ci`: build,
 # stock vet, the custom patchdb-lint suite, the test run, the race-enabled
-# crash-safety suite, the fully-verified nearest-link engine smoke sweep,
-# and a short run of every fuzz target. Exits non-zero on the first
+# crash-safety and reproduction worker-invariance suites, the fully-verified
+# nearest-link engine smoke sweep, and a short run of every fuzz target. Exits non-zero on the first
 # failure.
 set -eu
 
@@ -64,6 +64,9 @@ echo "==> verify-obs (logging determinism + SLO + exemplar + request-ID correlat
 
 echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 "$GO" test -race -count=1 ./internal/atomicio/ ./internal/checkpoint/ ./internal/experiments/resumebench/
+
+echo "==> verify-repro (reproduction tables identical at GOMAXPROCS 1 and 4, race-enabled)"
+"$GO" test -race -count=1 -run TestReproductionWorkerInvariant ./internal/experiments/
 
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
