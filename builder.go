@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,8 +75,8 @@ type BuilderConfig struct {
 	// the early exit, so every scheduled round runs.
 	RatioThreshold float64
 	// Workers bounds the concurrency of the crawl's fetch stage, per-commit
-	// feature extraction, and the nearest link search (default: GOMAXPROCS).
-	// The output is identical for any worker count.
+	// feature extraction, the nearest link search, and synthesis
+	// (default: GOMAXPROCS). The output is identical for any worker count.
 	Workers int
 	// FaultRate injects deterministic transient faults (429s with
 	// Retry-After, 500s, connection hangs, truncated and corrupted bodies)
@@ -204,9 +205,10 @@ type BuildReport struct {
 // loopback HTTP, crawls it, augments the dataset with nearest link search
 // and (simulated) human verification, and synthesizes patch variants.
 //
-// The crawl's fetch stage, per-commit feature extraction, and the nearest
-// link search all run on worker pools bounded by cfg.Workers; the resulting
-// dataset is a pure function of cfg.Seed regardless of the worker count.
+// The crawl's fetch stage, per-commit feature extraction, the nearest link
+// search, and synthesis all run on worker pools bounded by cfg.Workers; the
+// resulting dataset is a pure function of cfg.Seed regardless of the worker
+// count.
 // ctx is honored across every stage: cancellation aborts the crawl, the
 // extraction pools, augmentation rounds, and synthesis with a wrapped
 // context error.
@@ -572,39 +574,45 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 		stopSynth := metrics.Timer(StageSynthesize)
 		_, synthSpan := telemetry.Start(ctx, "synthesize")
 		defer synthSpan.End()
-		ov := &oversample.Oversampler{MaxPerPatch: cfg.SyntheticPerPatch, Rand: rng}
-		synthesize := func(recs []Record, security bool) error {
-			for _, r := range recs {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("build: synthesis canceled: %w", err)
-				}
-				lc, ok := byHash[r.ID]
-				if !ok {
-					synthNotify.Done(1)
-					continue
-				}
-				syns, err := ov.Synthesize(lc.Commit.Hash, lc.Commit.Before, lc.Commit.After)
-				if err != nil {
-					return fmt.Errorf("build: synthesize %s: %w", r.ID, err)
-				}
-				for _, s := range syns {
-					ds.Synthetic = append(ds.Synthetic, Record{
-						ID: s.Patch.Commit, Repo: r.Repo, Security: security,
-						Pattern: r.Pattern, Source: "synthetic", Text: diff.Format(s.Patch),
-					})
-				}
-				synthNotify.Done(1)
+		// Planning and realizing run on the worker pool; the shuffles, the
+		// only rng draws, run serially in record order, so the synthetic
+		// set does not depend on the worker count.
+		ov := &oversample.Oversampler{MaxPerPatch: cfg.SyntheticPerPatch}
+		recs := slices.Concat(ds.NVD, ds.Wild, ds.NonSecurity)
+		plans, err := mapConcurrently(ctx, len(recs), cfg.Workers, nil, func(i int) *oversample.Plan {
+			lc, ok := byHash[recs[i].ID]
+			if !ok {
+				return nil
 			}
-			return nil
+			return ov.Plan(lc.Commit.Hash, lc.Commit.Before, lc.Commit.After)
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("build: synthesis canceled: %w", err)
 		}
-		if err := synthesize(ds.NVD, true); err != nil {
-			return nil, nil, err
+		for _, p := range plans {
+			if p != nil {
+				p.Shuffle(rng)
+			}
 		}
-		if err := synthesize(ds.Wild, true); err != nil {
-			return nil, nil, err
+		synthetic, err := mapConcurrently(ctx, len(recs), cfg.Workers, synthNotify, func(i int) []Record {
+			if plans[i] == nil {
+				return nil
+			}
+			r := recs[i]
+			var out []Record
+			for _, s := range plans[i].Realize() {
+				out = append(out, Record{
+					ID: s.Patch.Commit, Repo: r.Repo, Security: r.Security,
+					Pattern: r.Pattern, Source: "synthetic", Text: diff.Format(s.Patch),
+				})
+			}
+			return out
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("build: synthesis canceled: %w", err)
 		}
-		if err := synthesize(ds.NonSecurity, false); err != nil {
-			return nil, nil, err
+		for _, rs := range synthetic {
+			ds.Synthetic = append(ds.Synthetic, rs...)
 		}
 		stopSynth(len(ds.Synthetic))
 		synthSpan.SetAttr("items", len(ds.Synthetic))

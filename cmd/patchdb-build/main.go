@@ -43,7 +43,7 @@ func run() error {
 		pools     = flag.String("pools", "8000,16000,16000", "comma-separated wild pool sizes")
 		rounds    = flag.String("rounds", "3,1,1", "comma-separated rounds per pool")
 		synthetic = flag.Int("synthetic", 4, "synthetic variants per natural patch (0 disables)")
-		workers   = flag.Int("workers", 0, "worker-pool size for crawl/extraction/search (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "worker-pool size for crawl/extraction/search/synthesis (0 = GOMAXPROCS)")
 		noise     = flag.Float64("feed-noise", 0, "CVE entries without patch links, as a fraction of -nvd (0 = default 0.1, negative disables)")
 		threshold = flag.Float64("ratio-threshold", 0, "augmentation early-exit ratio (0 = default 0.01, negative disables)")
 		progress  = flag.Bool("progress", false, "render live per-stage progress on stderr")

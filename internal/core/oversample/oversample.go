@@ -203,9 +203,10 @@ type Oversampler struct {
 	Sides []Side
 	// Variants selects which templates to use (default: all eight).
 	Variants []Variant
-	// Rand, when set, shuffles the (if-statement, variant, side) candidate
-	// combinations before MaxPerPatch truncation so capped synthesis samples
-	// diverse variants instead of always the first templates.
+	// Rand, when set, makes Synthesize shuffle the (if-statement, variant,
+	// side) candidate combinations before MaxPerPatch truncation so capped
+	// synthesis samples diverse variants instead of always the first
+	// templates. Plan and Realize ignore it; see Plan.Shuffle.
 	Rand *rand.Rand
 }
 
@@ -231,20 +232,46 @@ func (o *Oversampler) defaults() (int, []Side, []Variant) {
 // Synthesize generates artificial patches for one natural patch, given the
 // full before/after snapshots of the files it touches. Patches that do not
 // modify any if statement yield no variants (the paper reports ~70% of
-// security patches involve conditional statements).
+// security patches involve conditional statements). It is Plan, Shuffle
+// with Rand (when set) and Realize in sequence.
 func (o *Oversampler) Synthesize(commitHash string, before, after map[string]string) ([]*Synthetic, error) {
-	ctxLines, sides, variants := o.defaults()
-	base := diff.ComputePatch(commitHash, "", before, after, ctxLines)
-
-	// Enumerate all (file, side, if-statement, variant) combinations first.
-	type combo struct {
-		fd     *diff.FileDiff
-		side   Side
-		src    string
-		ifStmt *cast.IfStmt
-		v      Variant
+	p := o.Plan(commitHash, before, after)
+	if o.Rand != nil {
+		p.Shuffle(o.Rand)
 	}
-	var combos []combo
+	return p.Realize(), nil
+}
+
+// Plan is one natural patch's pending synthesis: every (file, side,
+// if-statement, variant) candidate, in the order Realize tries them.
+// Planning and realizing draw no randomness, so a caller can run both
+// concurrently across patches and keep its output deterministic by calling
+// Shuffle serially, in a fixed patch order.
+type Plan struct {
+	commitHash    string
+	before, after map[string]string
+	ctxLines      int
+	maxPerPatch   int
+	combos        []combo
+}
+
+type combo struct {
+	fd     *diff.FileDiff
+	side   Side
+	src    string
+	ifStmt *cast.IfStmt
+	v      Variant
+}
+
+// Plan diffs the natural patch, parses the C-family files it touches on
+// each side, and enumerates the candidate combinations of the if
+// statements the patch changes with every variant template. Rand is not
+// used.
+func (o *Oversampler) Plan(commitHash string, before, after map[string]string) *Plan {
+	ctxLines, sides, variants := o.defaults()
+	p := &Plan{commitHash: commitHash, before: before, after: after,
+		ctxLines: ctxLines, maxPerPatch: o.MaxPerPatch}
+	base := diff.ComputePatch(commitHash, "", before, after, ctxLines)
 	for _, fd := range base.Files {
 		if !fd.IsCFamily() {
 			continue
@@ -266,45 +293,54 @@ func (o *Oversampler) Synthesize(commitHash string, before, after map[string]str
 			}
 			for _, ifStmt := range targetIfStmts(file, fd, side) {
 				for _, v := range variants {
-					combos = append(combos, combo{fd: fd, side: side, src: src, ifStmt: ifStmt, v: v})
+					p.combos = append(p.combos, combo{fd: fd, side: side, src: src, ifStmt: ifStmt, v: v})
 				}
 			}
 		}
 	}
-	if o.Rand != nil {
-		o.Rand.Shuffle(len(combos), func(i, j int) { combos[i], combos[j] = combos[j], combos[i] })
-	}
+	return p
+}
 
+// Shuffle permutes the candidates with rng, so MaxPerPatch truncation
+// samples diverse variants instead of always the first templates. It is the
+// only step of synthesis that draws randomness.
+func (p *Plan) Shuffle(rng *rand.Rand) {
+	rng.Shuffle(len(p.combos), func(i, j int) { p.combos[i], p.combos[j] = p.combos[j], p.combos[i] })
+}
+
+// Realize applies the candidates in order and re-diffs each mutated file
+// against the other side, stopping after MaxPerPatch synthetic patches.
+func (p *Plan) Realize() []*Synthetic {
 	var out []*Synthetic
-	for _, c := range combos {
+	for _, c := range p.combos {
 		mutated, err := ApplyVariant(c.src, c.ifStmt, c.v)
 		if err != nil {
 			continue
 		}
-		var p *diff.Patch
-		variantHash := fmt.Sprintf("%s-syn-%s-%d-%d", commitHash, c.side, c.ifStmt.StartLine, c.v)
+		var d *diff.Patch
+		variantHash := fmt.Sprintf("%s-syn-%s-%d-%d", p.commitHash, c.side, c.ifStmt.StartLine, c.v)
 		if c.side == ModifyAfter {
-			newAfter := overlay(after, c.fd.NewPath, mutated)
-			p = diff.ComputePatch(variantHash, "", before, newAfter, ctxLines)
+			newAfter := overlay(p.after, c.fd.NewPath, mutated)
+			d = diff.ComputePatch(variantHash, "", p.before, newAfter, p.ctxLines)
 		} else {
-			newBefore := overlay(before, c.fd.OldPath, mutated)
-			p = diff.ComputePatch(variantHash, "", newBefore, after, ctxLines)
+			newBefore := overlay(p.before, c.fd.OldPath, mutated)
+			d = diff.ComputePatch(variantHash, "", newBefore, p.after, p.ctxLines)
 		}
-		if len(p.Files) == 0 {
+		if len(d.Files) == 0 {
 			continue
 		}
 		out = append(out, &Synthetic{
-			Patch:   p,
+			Patch:   d,
 			Variant: c.v,
 			Side:    c.side,
 			File:    c.fd.NewPath,
 			Line:    c.ifStmt.StartLine,
 		})
-		if o.MaxPerPatch > 0 && len(out) >= o.MaxPerPatch {
+		if p.maxPerPatch > 0 && len(out) >= p.maxPerPatch {
 			break
 		}
 	}
-	return out, nil
+	return out
 }
 
 // targetIfStmts returns the if statements overlapping the patch's changed

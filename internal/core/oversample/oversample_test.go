@@ -3,6 +3,8 @@ package oversample
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -208,6 +210,52 @@ func TestSynthesizeShuffleDiversity(t *testing.T) {
 	}
 	if inOrder {
 		t.Error("shuffled synthesis returned the deterministic prefix")
+	}
+}
+
+// TestPlanPhasesMatchSynthesize checks the contract concurrent callers rely
+// on: planning and realizing draw no randomness and do not depend on other
+// patches, so planning every patch first, shuffling the plans in patch order
+// and realizing them in any order gives what sequential Synthesize calls
+// sharing one generator give.
+func TestPlanPhasesMatchSynthesize(t *testing.T) {
+	type patch struct{ before, after map[string]string }
+	var patches []patch
+	for i := range 4 {
+		patches = append(patches, patch{
+			map[string]string{"src/copy.c": beforeSrc, "README.md": strings.Repeat("#\n", i)},
+			map[string]string{"src/copy.c": afterSrc},
+		})
+	}
+	patches = append(patches, patch{ // no if statement touched: no draws
+		map[string]string{"README.md": "# old\n"}, map[string]string{"README.md": "# new\n"}})
+	hash := func(i int) string { return "cafe1" + strconv.Itoa(i) }
+
+	ov := &Oversampler{MaxPerPatch: 3, Rand: rand.New(rand.NewSource(9))}
+	var want [][]*Synthetic
+	for i, p := range patches {
+		syns, err := ov.Synthesize(hash(i), p.before, p.after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, syns)
+	}
+
+	phased := &Oversampler{MaxPerPatch: 3}
+	plans := make([]*Plan, len(patches))
+	for i := len(patches) - 1; i >= 0; i-- {
+		plans[i] = phased.Plan(hash(i), patches[i].before, patches[i].after)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, p := range plans {
+		p.Shuffle(rng)
+	}
+	got := make([][]*Synthetic, len(plans))
+	for i := len(plans) - 1; i >= 0; i-- {
+		got[i] = plans[i].Realize()
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("phased synthesis differs from sequential Synthesize calls")
 	}
 }
 
