@@ -93,17 +93,31 @@ func splitCommits(list []*corpus.LabeledCommit, rng *rand.Rand) (train, test []*
 
 // synthesizeFor generates synthetic token sequences from natural training
 // commits using the source-level oversampler. maxPer bounds variants per
-// natural patch.
+// natural patch. Planning and realizing run concurrently; the shuffles, the
+// only draws from rng, run in list order, so the output is that of one
+// Synthesize call per commit in order.
 func (l *Lab) synthesizeFor(list []*corpus.LabeledCommit, label int, maxPer int, weight float64, out *seqDataset) (count int) {
 	rng := rand.New(rand.NewSource(l.Scale.Seed + 777))
-	ov := &oversample.Oversampler{MaxPerPatch: maxPer, Rand: rng}
-	for _, lc := range list {
-		syns, err := ov.Synthesize(lc.Commit.Hash, lc.Commit.Before, lc.Commit.After)
-		if err != nil {
-			continue
+	ov := &oversample.Oversampler{MaxPerPatch: maxPer}
+	plans := make([]*oversample.Plan, len(list))
+	_ = parallel(len(list), func(i int) error {
+		c := list[i].Commit
+		plans[i] = ov.Plan(c.Hash, c.Before, c.After)
+		return nil
+	})
+	for _, p := range plans {
+		p.Shuffle(rng)
+	}
+	seqs := make([][][]string, len(list))
+	_ = parallel(len(list), func(i int) error {
+		for _, s := range plans[i].Realize() {
+			seqs[i] = append(seqs[i], features.TokenSequence(s.Patch))
 		}
-		for _, s := range syns {
-			out.appendWeighted(features.TokenSequence(s.Patch), label, weight)
+		return nil
+	})
+	for _, ss := range seqs {
+		for _, seq := range ss {
+			out.appendWeighted(seq, label, weight)
 			count++
 		}
 	}
