@@ -99,11 +99,14 @@ verify-serve:
 verify-resume:
 	$(GO) test -race -count=1 ./internal/atomicio/ ./internal/checkpoint/ ./internal/experiments/resumebench/
 
-# verify-repro runs the paper reproduction's worker-invariance test under the
-# race detector: Tables III, IV and VI, whose independent model fits run
-# concurrently, must render byte-identically at GOMAXPROCS 1 and 4.
+# verify-repro runs the worker-invariance tests under the race detector:
+# Tables III, IV and VI, whose independent model fits run concurrently, must
+# render byte-identically at GOMAXPROCS 1 and 4, and a build with
+# oversampling, whose extraction, search and synthesis run on the worker
+# pool, must produce the same dataset at 1, 3 and GOMAXPROCS workers.
 verify-repro:
 	$(GO) test -race -count=1 -run TestReproductionWorkerInvariant ./internal/experiments/
+	$(GO) test -race -count=1 -run TestBuildDeterministicAcrossWorkers .
 
 # verify-obs runs the observability-correlation suite under the race
 # detector: structured-logging determinism, SLO burn-rate verdicts (window

@@ -65,8 +65,9 @@ echo "==> verify-obs (logging determinism + SLO + exemplar + request-ID correlat
 echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 "$GO" test -race -count=1 ./internal/atomicio/ ./internal/checkpoint/ ./internal/experiments/resumebench/
 
-echo "==> verify-repro (reproduction tables identical at GOMAXPROCS 1 and 4, race-enabled)"
+echo "==> verify-repro (reproduction tables and built dataset identical at any worker count, race-enabled)"
 "$GO" test -race -count=1 -run TestReproductionWorkerInvariant ./internal/experiments/
+"$GO" test -race -count=1 -run TestBuildDeterministicAcrossWorkers .
 
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
