@@ -323,15 +323,19 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 // TestBuildGolden pins the saved bytes of a small build with oversampling,
 // at one worker and at GOMAXPROCS, so an optimisation of any stage
 // (extraction, search, synthesis, diffing) must leave the dataset unchanged.
-// The digest was recorded on amd64; platforms that fuse multiply-adds may
-// round the nearest-link distances differently.
+// It also pins the nearest-link engine's work counters, which are
+// worker-invariant: a change that feeds the search different inputs, or
+// makes the kernel evaluate more distances, fails here even when the links
+// still match. The values were recorded on amd64; platforms that fuse
+// multiply-adds may round the nearest-link distances differently.
 func TestBuildGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64")
 	}
 	const want = "f8b7e0fd9b5201ed5e9d9dd85ca354efe1718c1bb7eb9760db688bb349d1f123"
+	const wantEvals, wantPruned, wantRescans = 11794, 21080, 20
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		ds, _, err := Build(context.Background(), BuilderConfig{
+		ds, report, err := Build(context.Background(), BuilderConfig{
 			Seed:              5,
 			NVDSize:           30,
 			NonSecuritySize:   60,
@@ -355,6 +359,10 @@ func TestBuildGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("workers=%d: digest = %s, want %s (%d synthetic records)",
 				workers, got, want, len(ds.Synthetic))
+		}
+		if st := report.Search; st.DistanceEvals != wantEvals || st.NormPruned != wantPruned || st.Rescans != wantRescans {
+			t.Errorf("workers=%d: search evals/pruned/rescans = %d/%d/%d, want %d/%d/%d", workers,
+				st.DistanceEvals, st.NormPruned, st.Rescans, wantEvals, wantPruned, wantRescans)
 		}
 	}
 }
