@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"patchdb/internal/corpus"
 )
 
 func kinds(toks []Token) []Kind {
@@ -264,6 +266,20 @@ func TestKindString(t *testing.T) {
 	for k, want := range names {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
+		}
+	}
+}
+
+// TestLexAllocatesOnce holds Lex to one allocation per file: its len/3+1
+// capacity covers generated C (about 3.7 bytes per token), so the token
+// slice never regrows.
+func TestLexAllocatesOnce(t *testing.T) {
+	g := corpus.NewGenerator(corpus.Config{Seed: 11})
+	for _, lc := range g.GenerateNVD(10) {
+		for path, src := range lc.Commit.After {
+			if got := testing.AllocsPerRun(20, func() { Lex(src, 1) }); got != 1 {
+				t.Errorf("Lex(%s, %d bytes) made %.0f allocations, want 1", path, len(src), got)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package features
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,5 +237,51 @@ func TestTokenSequenceEmptySides(t *testing.T) {
 		if tok == TokRemoved {
 			t.Errorf("removal marker present without removed lines: %v", seq)
 		}
+	}
+}
+
+// allocPatch is a fixed four-hunk patch over a C file of ordinary
+// statements: a guard added, a call rewritten, a loop bound fixed and a
+// copy length clamped.
+func allocPatch() *diff.Patch {
+	lines := make([]string, 160)
+	for i := range lines {
+		switch i % 4 {
+		case 0:
+			lines[i] = fmt.Sprintf("\tif (buf_%d->len > max_len) {", i)
+		case 1:
+			lines[i] = fmt.Sprintf("\t\tret = process_item(ctx, buf_%d, idx + %d);", i, i)
+		case 2:
+			lines[i] = fmt.Sprintf("\t\tcount_%d += (flags & 0x%x) >> 2;", i, i)
+		default:
+			lines[i] = "\t}"
+		}
+	}
+	oldText := strings.Join(lines, "\n") + "\n"
+	lines[20] = "\tif (buf_20 == NULL || buf_20->len > max_len) {"
+	lines[61] = "\t\tret = process_item_checked(ctx, buf_61, idx + 61, sizeof(*buf_61));"
+	lines = slices.Insert(lines, 100, "\tfor (i = 0; i < n && i < MAX_ITEMS; i++)", "\t\tmemset(&items[i], 0, sizeof(items[i]));")
+	lines[140] = "\t\tmemcpy(dst, src, min(len, sizeof(dst)));"
+	newText := strings.Join(lines, "\n") + "\n"
+	return diff.ComputePatch("feedface", "", map[string]string{"src/item.c": oldText},
+		map[string]string{"src/item.c": newText}, 3)
+}
+
+// TestExtractAllocBound keeps Extract to one token buffer per patch and one
+// set of hunk token lists. Lexing each line into a fresh, growing slice and
+// copying it through per-line Texts and Abstract slices allocated 29,200
+// bytes per call on this patch; the bound is half of that.
+func TestExtractAllocBound(t *testing.T) {
+	p := allocPatch()
+	if n := len(p.HunkList()); n != 4 {
+		t.Fatalf("fixture has %d hunks, want 4", n)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for range b.N {
+			Extract(p, 1)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 29200/2 {
+		t.Errorf("Extract allocated %d bytes per call, want <= %d", got, 29200/2)
 	}
 }
