@@ -584,7 +584,7 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			if !ok {
 				return nil
 			}
-			return ov.Plan(lc.Commit.Hash, lc.Commit.Before, lc.Commit.After)
+			return ov.Plan(lc.Commit.Patch(), lc.Commit.Before, lc.Commit.After)
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("build: synthesis canceled: %w", err)

@@ -232,10 +232,12 @@ func (o *Oversampler) defaults() (int, []Side, []Variant) {
 // Synthesize generates artificial patches for one natural patch, given the
 // full before/after snapshots of the files it touches. Patches that do not
 // modify any if statement yield no variants (the paper reports ~70% of
-// security patches involve conditional statements). It is Plan, Shuffle
-// with Rand (when set) and Realize in sequence.
+// security patches involve conditional statements). It diffs the natural
+// patch at ContextLines, then runs Plan, Shuffle with Rand (when set) and
+// Realize in sequence.
 func (o *Oversampler) Synthesize(commitHash string, before, after map[string]string) ([]*Synthetic, error) {
-	p := o.Plan(commitHash, before, after)
+	ctxLines, _, _ := o.defaults()
+	p := o.Plan(diff.ComputePatch(commitHash, "", before, after, ctxLines), before, after)
 	if o.Rand != nil {
 		p.Shuffle(o.Rand)
 	}
@@ -263,15 +265,17 @@ type combo struct {
 	v      Variant
 }
 
-// Plan diffs the natural patch, parses the C-family files it touches on
-// each side, and enumerates the candidate combinations of the if
-// statements the patch changes with every variant template. Rand is not
-// used.
-func (o *Oversampler) Plan(commitHash string, before, after map[string]string) *Plan {
+// Plan parses the C-family files the natural patch base touches on each
+// side and enumerates the candidate combinations of the if statements base
+// changes with every variant template. base must be the diff of before
+// against after at the Oversampler's ContextLines (3 by default, the
+// context of gitrepo.Commit.Patch, so a caller holding a commit passes its
+// cached Patch); its hunks pick the target if statements and base.Commit
+// names the variants. Plan only reads base. Rand is not used.
+func (o *Oversampler) Plan(base *diff.Patch, before, after map[string]string) *Plan {
 	ctxLines, sides, variants := o.defaults()
-	p := &Plan{commitHash: commitHash, before: before, after: after,
+	p := &Plan{commitHash: base.Commit, before: before, after: after,
 		ctxLines: ctxLines, maxPerPatch: o.MaxPerPatch}
-	base := diff.ComputePatch(commitHash, "", before, after, ctxLines)
 	for _, fd := range base.Files {
 		if !fd.IsCFamily() {
 			continue

@@ -10,6 +10,7 @@ import (
 
 	"patchdb/internal/cast"
 	"patchdb/internal/diff"
+	"patchdb/internal/gitrepo"
 )
 
 const beforeSrc = `#include <string.h>
@@ -244,7 +245,8 @@ func TestPlanPhasesMatchSynthesize(t *testing.T) {
 	phased := &Oversampler{MaxPerPatch: 3}
 	plans := make([]*Plan, len(patches))
 	for i := len(patches) - 1; i >= 0; i-- {
-		plans[i] = phased.Plan(hash(i), patches[i].before, patches[i].after)
+		base := diff.ComputePatch(hash(i), "", patches[i].before, patches[i].after, 3)
+		plans[i] = phased.Plan(base, patches[i].before, patches[i].after)
 	}
 	rng := rand.New(rand.NewSource(9))
 	for _, p := range plans {
@@ -256,6 +258,30 @@ func TestPlanPhasesMatchSynthesize(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("phased synthesis differs from sequential Synthesize calls")
+	}
+}
+
+// TestPlanFromCommitPatch checks the equality Build relies on: a commit's
+// cached Patch (context 3, carrying the commit message and author) plans
+// exactly the candidates of a fresh diff at the default context.
+func TestPlanFromCommitPatch(t *testing.T) {
+	repo := gitrepo.NewRepo("acme/frames")
+	repo.SeedFile("src/copy.c", beforeSrc)
+	repo.SeedFile("README.md", "# frames\n")
+	c := repo.Commit("Ann Author", "2020-01-02", "Bound the frame copy\n\nCVE-2020-0001",
+		map[string]string{"src/copy.c": afterSrc, "README.md": "# frames, bounded\n"})
+
+	ov := &Oversampler{}
+	fromCommit := ov.Plan(c.Patch(), c.Before, c.After)
+	fromDiff := ov.Plan(diff.ComputePatch(c.Hash, "", c.Before, c.After, 3), c.Before, c.After)
+	if len(fromCommit.combos) == 0 {
+		t.Fatal("no candidates planned")
+	}
+	if !reflect.DeepEqual(fromCommit, fromDiff) {
+		t.Error("planning from the commit's cached patch differs from planning from a fresh diff")
+	}
+	if !reflect.DeepEqual(fromCommit.Realize(), fromDiff.Realize()) {
+		t.Error("realized variants differ")
 	}
 }
 

@@ -102,7 +102,7 @@ func (l *Lab) synthesizeFor(list []*corpus.LabeledCommit, label int, maxPer int,
 	plans := make([]*oversample.Plan, len(list))
 	_ = parallel(len(list), func(i int) error {
 		c := list[i].Commit
-		plans[i] = ov.Plan(c.Hash, c.Before, c.After)
+		plans[i] = ov.Plan(c.Patch(), c.Before, c.After)
 		return nil
 	})
 	for _, p := range plans {
