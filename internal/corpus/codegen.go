@@ -77,7 +77,23 @@ type fnAnchors struct {
 	calleeName string
 }
 
-func (f *srcFile) text() string { return strings.Join(f.lines, "\n") + "\n" }
+// text is strings.Join(f.lines, "\n") + "\n", built in one allocation.
+func (f *srcFile) text() string {
+	size := max(len(f.lines), 1) // separators and the final newline
+	for _, l := range f.lines {
+		size += len(l)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i, l := range f.lines {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(l)
+	}
+	b.WriteByte('\n')
+	return b.String()
+}
 
 // clone returns a deep copy so before/after versions do not alias.
 func (f *srcFile) clone() *srcFile {

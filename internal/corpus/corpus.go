@@ -205,17 +205,20 @@ func (g *Generator) securityCommitOfPattern(p Pattern) *LabeledCommit {
 	repo := g.repos[g.rng.Intn(len(g.repos))]
 	g.fileID++
 	before := genFile(g.rng, g.fileID)
-	repo.SeedFile(before.path, before.text())
+	beforeText := before.text()
+	repo.SeedFile(before.path, beforeText)
 	after := applySecurityPattern(before, p, g.rng)
 	g.jitter(after)
+	afterText := after.text()
 	// An editor can occasionally no-op when its anchor is missing; a commit
 	// must change something, so fall back to a guaranteed-effective edit.
-	if after.text() == before.text() {
+	if afterText == beforeText {
 		after = applySecurityPattern(before, PatternNullCheck, g.rng)
+		afterText = after.text()
 	}
 	msg := g.securityMessage(p, before.fn.name)
 	c := repo.Commit(pick(g.rng, authorNames), g.nextDate(), msg,
-		map[string]string{before.path: after.text()})
+		map[string]string{before.path: afterText})
 	return &LabeledCommit{Commit: c, Security: true, Pattern: p}
 }
 
@@ -252,15 +255,18 @@ func (g *Generator) nonSecurityCommitOfClass(cls NonSecClass) *LabeledCommit {
 	repo := g.repos[g.rng.Intn(len(g.repos))]
 	g.fileID++
 	before := genFile(g.rng, g.fileID)
-	repo.SeedFile(before.path, before.text())
+	beforeText := before.text()
+	repo.SeedFile(before.path, beforeText)
 	after := applyNonSecurity(before, cls, g.rng)
 	g.jitter(after)
-	if after.text() == before.text() {
+	afterText := after.text()
+	if afterText == beforeText {
 		after = applyNonSecurity(before, NonSecCleanup, g.rng)
+		afterText = after.text()
 	}
 	msg := g.nonSecurityMessage(cls, before.fn.name)
 	c := repo.Commit(pick(g.rng, authorNames), g.nextDate(), msg,
-		map[string]string{before.path: after.text()})
+		map[string]string{before.path: afterText})
 	return &LabeledCommit{Commit: c, NonSec: cls}
 }
 
