@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -592,13 +593,18 @@ func statusError(resp *http.Response, what string) error {
 }
 
 // parseRetryAfter accepts delay seconds (integral or fractional) or an
-// HTTP date.
+// HTTP date. A delay too long for a time.Duration, infinite or NaN is
+// rejected rather than wrapped to a negative duration.
 func parseRetryAfter(h string) (time.Duration, bool) {
 	if h == "" {
 		return 0, false
 	}
 	if secs, err := strconv.ParseFloat(h, 64); err == nil && secs >= 0 {
-		return time.Duration(secs * float64(time.Second)), true
+		ns := secs * float64(time.Second)
+		if ns >= math.MaxInt64 { // also +Inf; 2^63 itself does not fit
+			return 0, false
+		}
+		return time.Duration(ns), true
 	}
 	if t, err := http.ParseTime(h); err == nil {
 		if d := time.Until(t); d > 0 {
